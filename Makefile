@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet fmt-check test race ci bench bench-go bench-json bench-smoke bench3 bench4 bench5 bench6 bench7 bench8 bench9 fuzz-smoke verify soak soak-smoke gateway-smoke noc-smoke library-smoke
+.PHONY: build vet fmt-check test race ci bench bench-go bench-json bench-smoke bench3 bench4 bench5 bench6 bench7 bench8 bench9 fuzz-smoke verify soak soak-smoke gateway-smoke noc-smoke library-smoke prof
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,23 @@ bench:
 
 bench-go:
 	$(GO) test -bench . -benchmem -benchtime 200x ./...
+
+# prof writes CPU and allocation profiles of the negotiated-batch
+# benchmarks (the partitioned clustered batch in internal/maze and the
+# end-to-end BatchCrossbar) under .prof/, next to the test binaries pprof
+# needs to symbolize them, e.g.
+#   go tool pprof -top .prof/maze.test .prof/maze.cpu.prof
+# It is a diagnostic for perf work and part of no ci target.
+PROF_DIR := $(CURDIR)/.prof
+
+prof:
+	@mkdir -p $(PROF_DIR)
+	$(GO) test -run='^$$' -bench='^BenchmarkNegotiatedClustered$$' -benchmem -benchtime=2s \
+		-o $(PROF_DIR)/maze.test -outputdir $(PROF_DIR) \
+		-cpuprofile maze.cpu.prof -memprofile maze.mem.prof ./internal/maze
+	$(GO) test -run='^$$' -bench='^BenchmarkBatchCrossbar$$' -benchmem -benchtime=2s \
+		-o $(PROF_DIR)/crossbar.test -outputdir $(PROF_DIR) \
+		-cpuprofile crossbar.cpu.prof -memprofile crossbar.mem.prof .
 
 # bench-json regenerates the machine-readable benchmark snapshot.
 bench-json:

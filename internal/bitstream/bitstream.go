@@ -204,7 +204,7 @@ func (b *Bitstream) DirtyFrames() []FrameAddr {
 
 // ClearDirty forgets the dirty set (after a partial bitstream has been
 // generated and shipped).
-func (b *Bitstream) ClearDirty() { b.dirty = make(map[FrameAddr]bool) }
+func (b *Bitstream) ClearDirty() { clear(b.dirty) }
 
 // Clone returns a deep copy with an empty dirty set (a "golden" snapshot).
 func (b *Bitstream) Clone() *Bitstream {

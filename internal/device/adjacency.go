@@ -71,7 +71,10 @@ func adjCacheFor(a *arch.Arch, rows, cols int) *adjCache {
 }
 
 // PIPChoices returns the legal PIP expansions from canonical track t as a
-// flat cached slice (see ForEachPIPChoice for the semantics). The slice is
+// flat cached slice: at each tap tile of t, each architecture-legal target
+// that can be driven there. Targets that already have a driver are
+// included (the caller decides whether reuse or avoidance applies; see
+// DrivenIdx); targets that would leave the array are not. The slice is
 // shared and must not be mutated. First access derives it from the
 // architecture rules; later accesses — from any device of the same
 // geometry, on any goroutine — are a single atomic load.

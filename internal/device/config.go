@@ -317,6 +317,7 @@ func (d *Device) ApplyFramesRaw(stream []byte) (int, error) {
 func (d *Device) RebuildFromBits() error {
 	d.driver = make(map[Key]PIP)
 	d.fanout = make(map[Key][]PIP)
+	clear(d.driven)
 	d.luts = make(map[lutKey]uint16)
 	d.ffInit = make(map[lutKey]bool)
 	d.lutUsed = make(map[lutKey]bool)
@@ -346,7 +347,7 @@ func (d *Device) RebuildFromBits() error {
 					if exist, ok := d.driver[to.Key()]; ok {
 						return &ContentionError{Track: to, Existing: exist, Attempt: p, Name: d.A.WireName(to.W)}
 					}
-					d.driver[to.Key()] = p
+					d.setDriver(to, p)
 					d.fanout[from.Key()] = append(d.fanout[from.Key()], p)
 				}
 			}

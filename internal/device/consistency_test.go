@@ -1,7 +1,10 @@
 package device
 
 import (
+	"cmp"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -101,5 +104,92 @@ func TestConsistencySurvivesBitstreamRoundTrip(t *testing.T) {
 	}
 	if err := d.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOccupancyBitsetProperty drives random SetPIP / ClearPIP /
+// ApplyConfig / RebuildFromBits sequences and checks after every step
+// that the occupancy bitset agrees with the driver map: DrivenIdx holds
+// exactly for driven tracks (CheckConsistency), and a contending SetPIP
+// that is rejected leaves the target's bit and driver untouched.
+func TestOccupancyBitsetProperty(t *testing.T) {
+	d := virtexDev(t)
+	rng := rand.New(rand.NewSource(12))
+	target := func(p PIP) Track {
+		to, err := d.Canon(p.Row, p.Col, p.To)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return to
+	}
+	var snapshot []byte
+	contended := 0
+	for step := 0; step < 600; step++ {
+		switch op := rng.Intn(20); {
+		case op == 0:
+			cfg, err := d.FullConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snapshot = cfg
+		case op == 1 && snapshot != nil:
+			if err := d.ApplyConfig(snapshot); err != nil {
+				t.Fatalf("step %d apply: %v", step, err)
+			}
+		case op == 2:
+			if err := d.RebuildFromBits(); err != nil {
+				t.Fatalf("step %d rebuild: %v", step, err)
+			}
+		case op < 8 && d.OnPIPCount() > 0:
+			// AllOnPIPs order follows map iteration; sort it so the seed
+			// alone fixes the op sequence.
+			on := d.AllOnPIPs()
+			slices.SortFunc(on, func(a, b PIP) int {
+				return cmp.Or(cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col),
+					cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+			})
+			p := on[rng.Intn(len(on))]
+			if err := d.ClearPIP(p.Row, p.Col, p.From, p.To); err != nil {
+				t.Fatalf("step %d clear %s: %v", step, d.PIPString(p), err)
+			}
+			if d.DrivenIdx(d.TrackIndex(target(p))) {
+				t.Fatalf("step %d: bit still set after clearing %s", step, d.PIPString(p))
+			}
+		default:
+			src, ok := d.CanonOK(rng.Intn(d.Rows), rng.Intn(d.Cols), arch.OutPin(rng.Intn(arch.NumOutPins)))
+			if !ok {
+				continue
+			}
+			choices := d.PIPChoices(src)
+			if len(choices) == 0 {
+				continue
+			}
+			c := choices[rng.Intn(len(choices))]
+			p := c.P
+			exist, driven := d.DriverOf(c.Target)
+			err := d.SetPIP(p.Row, p.Col, p.From, p.To)
+			var ce *ContentionError
+			switch {
+			case driven && exist != p:
+				if !errors.As(err, &ce) {
+					t.Fatalf("step %d: contending %s not rejected: %v", step, d.PIPString(p), err)
+				}
+				contended++
+				if got, ok := d.DriverOf(c.Target); !ok || got != exist {
+					t.Fatalf("step %d: rejected SetPIP changed the driver to %v, %v", step, got, ok)
+				}
+			case err != nil:
+				t.Fatalf("step %d set %s: %v", step, d.PIPString(p), err)
+			}
+			if !d.DrivenIdx(c.TIdx) {
+				t.Fatalf("step %d: target of %s has a clear bit", step, d.PIPString(p))
+			}
+		}
+		if err := d.CheckConsistency(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if contended == 0 {
+		t.Error("no contending SetPIP exercised")
 	}
 }

@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arch"
 	"repro/internal/bitstream"
@@ -28,7 +29,7 @@ func (e *ContentionError) Error() string {
 
 // Device is one configured FPGA.
 //
-// A Device is safe for concurrent *reads* (DriverOf, IsOn, PIPChoices,
+// A Device is safe for concurrent *reads* (DriverOf, DrivenIdx, IsOn, PIPChoices,
 // Canon...); mutating calls (SetPIP, ClearPIP, LUT/BRAM configuration) must
 // not run concurrently with anything else. The parallel batch router relies
 // on this: its workers only read, and all commits happen on one goroutine.
@@ -43,6 +44,7 @@ type Device struct {
 	layout   bitLayout
 	driver   map[Key]PIP   // canonical track -> the PIP driving it
 	fanout   map[Key][]PIP // canonical track -> on-PIPs sourced from it
+	driven   []uint64      // occupancy bitset by TrackIndex: bit set iff driver has the track
 	luts     map[lutKey]uint16
 	ffInit   map[lutKey]bool
 	lutUsed  map[lutKey]bool
@@ -85,6 +87,7 @@ func New(a *arch.Arch, rows, cols int) (*Device, error) {
 	d.bits = bits
 	d.wireCount = a.WireCount()
 	d.adjc = adjCacheFor(a, rows, cols)
+	d.driven = make([]uint64, (d.NumTracks()+63)/64)
 	return d, nil
 }
 
@@ -99,6 +102,29 @@ func (d *Device) NumTracks() int { return d.Rows * d.Cols * d.wireCount }
 // inverse of nothing — searches keep the Track alongside the index.
 func (d *Device) TrackIndex(t Track) int32 {
 	return int32((t.Row*d.Cols+t.Col)*d.wireCount + int(t.W))
+}
+
+// DrivenIdx reports whether the track with compact index i (see
+// TrackIndex) has a driver — the §3.4 contention guard as one bit test,
+// for search inner loops that already hold the index. Use DriverOf when
+// the driving PIP itself is needed.
+func (d *Device) DrivenIdx(i int32) bool {
+	return d.driven[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// setDriver records p as the driver of track to, in the driver map and
+// the occupancy bitset together.
+func (d *Device) setDriver(to Track, p PIP) {
+	d.driver[to.Key()] = p
+	i := d.TrackIndex(to)
+	d.driven[i>>6] |= 1 << (uint(i) & 63)
+}
+
+// clearDriver forgets track to's driver in both the map and the bitset.
+func (d *Device) clearDriver(to Track) {
+	delete(d.driver, to.Key())
+	i := d.TrackIndex(to)
+	d.driven[i>>6] &^= 1 << (uint(i) & 63)
 }
 
 // Size returns the array dimensions.
@@ -152,7 +178,7 @@ func (d *Device) SetPIP(row, col int, fromW, toW arch.Wire) error {
 		}
 		return &ContentionError{Track: to, Existing: exist, Attempt: p, Name: d.A.WireName(to.W)}
 	}
-	d.driver[to.Key()] = p
+	d.setDriver(to, p)
 	d.fanout[from.Key()] = append(d.fanout[from.Key()], p)
 	if bit, ok := d.layout.pipBit(p.From, p.To); ok {
 		if err := d.bits.SetBit(row, col, bit, true); err != nil {
@@ -174,7 +200,7 @@ func (d *Device) ClearPIP(row, col int, fromW, toW arch.Wire) error {
 	if !ok || exist != p {
 		return fmt.Errorf("device: PIP %s is not on", d.PIPString(p))
 	}
-	delete(d.driver, to.Key())
+	d.clearDriver(to)
 	fk := from.Key()
 	list := d.fanout[fk]
 	for i, q := range list {
@@ -214,8 +240,7 @@ func (d *Device) IsOn(row, col int, w arch.Wire) bool {
 	if err != nil {
 		return false
 	}
-	_, ok := d.driver[t.Key()]
-	return ok
+	return d.DrivenIdx(d.TrackIndex(t))
 }
 
 // InUse reports whether a track is part of any routed net: it is driven, or
@@ -273,27 +298,13 @@ func (d *Device) AppendAllOnPIPs(buf []PIP) []PIP {
 	return buf
 }
 
-// ForEachPIPChoice visits every legal PIP that can be sourced from track t:
-// at each tap tile, each architecture-legal target that can be driven
-// there. Targets that already have a driver are included (the caller
-// decides whether reuse or avoidance applies); targets that would leave the
-// array are not. The visit stops early if fn returns false.
-//
-// The choice set is device-state independent; it is served from the shared
-// adjacency cache (see PIPChoices), which this call fills on first visit.
-func (d *Device) ForEachPIPChoice(t Track, fn func(p PIP, target Track) bool) {
-	for _, c := range d.PIPChoices(t) {
-		if !fn(c.P, c.Target) {
-			return
-		}
-	}
-}
-
 // CheckConsistency verifies the internal invariants of the routing state:
 // every driver entry appears exactly once in its source's fanout list and
 // vice versa, every on-PIP has its configuration bit set, and no track has
 // more than one driver (structurally impossible, but verified against the
-// bitstream). It is used by property tests and available to debug tools.
+// bitstream), and the occupancy bitset has a track's bit set exactly when
+// the track has a driver entry. It is used by property tests and
+// available to debug tools.
 func (d *Device) CheckConsistency() error {
 	// driver -> fanout.
 	for key, p := range d.driver {
@@ -303,6 +314,9 @@ func (d *Device) CheckConsistency() error {
 		}
 		if to.Key() != key {
 			return fmt.Errorf("device: driver map key %v does not match PIP target %v", TrackOfKey(key), to)
+		}
+		if !d.DrivenIdx(d.TrackIndex(to)) {
+			return fmt.Errorf("device: driven track %v has a clear occupancy bit", to)
 		}
 		count := 0
 		for _, q := range d.fanout[from.Key()] {
@@ -344,15 +358,23 @@ func (d *Device) CheckConsistency() error {
 	if total != len(d.driver) {
 		return fmt.Errorf("device: %d fanout PIPs vs %d drivers", total, len(d.driver))
 	}
+	// bitset -> driver: with every driver's bit set (checked above), equal
+	// counts mean no bit is set without a driver.
+	set := 0
+	for _, w := range d.driven {
+		set += bits.OnesCount64(w)
+	}
+	if set != len(d.driver) {
+		return fmt.Errorf("device: %d occupancy bits set vs %d drivers", set, len(d.driver))
+	}
 	return nil
 }
 
-// PIPChoicesFrom collects ForEachPIPChoice's PIPs into a slice.
+// PIPChoicesFrom collects the PIPs of PIPChoices(t) into a fresh slice.
 func (d *Device) PIPChoicesFrom(t Track) []PIP {
 	var out []PIP
-	d.ForEachPIPChoice(t, func(p PIP, _ Track) bool {
-		out = append(out, p)
-		return true
-	})
+	for _, c := range d.PIPChoices(t) {
+		out = append(out, c.P)
+	}
 	return out
 }

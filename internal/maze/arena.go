@@ -189,19 +189,34 @@ func (ar *arena) siftDown(i0, n int) {
 
 // markSet is a pooled epoch-stamped membership set over track indices,
 // used by the negotiation workers to test "does this net already use that
-// track" in O(1) without per-net map allocations.
+// track" in O(1) without per-net map allocations. A set taken with
+// getValueSet also carries one int32 per member (the negotiation's keeper
+// table); a value is meaningful only while its index is a member.
 type markSet struct {
 	n     int
 	epoch uint32
 	stamp []uint32
+	val   []int32 // per-member values; nil until getValueSet needs them
 }
 
 func getMarkSet(n int) *markSet {
 	m := poolGet(&markPools, n, func() *markSet { return new(markSet) })
 	if m.n < n {
 		m.stamp = make([]uint32, n)
+		m.val = nil
 		m.epoch = 0
 		m.n = n
+	}
+	return m
+}
+
+// getValueSet is getMarkSet with the per-member value table sized too.
+// The table is neither allocated nor cleared again while the set is
+// pooled: stale values sit behind stale stamps.
+func getValueSet(n int) *markSet {
+	m := getMarkSet(n)
+	if len(m.val) < m.n {
+		m.val = make([]int32, m.n)
 	}
 	return m
 }
@@ -221,3 +236,17 @@ func (m *markSet) reset() {
 
 func (m *markSet) add(i int32)      { m.stamp[i] = m.epoch }
 func (m *markSet) has(i int32) bool { return m.stamp[i] == m.epoch }
+
+// put adds i to a value set with value v.
+func (m *markSet) put(i, v int32) {
+	m.stamp[i] = m.epoch
+	m.val[i] = v
+}
+
+// get returns i's value and whether i is a member.
+func (m *markSet) get(i int32) (int32, bool) {
+	if m.stamp[i] != m.epoch {
+		return 0, false
+	}
+	return m.val[i], true
+}

@@ -48,7 +48,8 @@ func search(dev *device.Device, sources []device.Track, sink device.Track, opt O
 	}
 	sinkKey := sink.Key()
 	sinkTile := device.Coord{Row: sink.Row, Col: sink.Col}
-	if _, driven := dev.DriverOf(sink); driven {
+	sinkIdx := dev.TrackIndex(sink)
+	if dev.DrivenIdx(sinkIdx) {
 		return nil, fmt.Errorf("maze: sink %s at (%d,%d) already in use: %w",
 			dev.A.WireName(sink.W), sink.Row, sink.Col, ErrUnroutable)
 	}
@@ -86,7 +87,6 @@ func search(dev *device.Device, sources []device.Track, sink device.Track, opt O
 
 	ar := getArena(dev.NumTracks())
 	defer putArena(ar)
-	sinkIdx := dev.TrackIndex(sink)
 
 	for _, s := range sources {
 		if s.Key() == sinkKey {
@@ -126,7 +126,7 @@ func search(dev *device.Device, sources []device.Track, sink device.Track, opt O
 			if opt.avoids(dev, c.P.Row, c.P.Col, c.Target) {
 				continue
 			}
-			if _, driven := dev.DriverOf(c.Target); driven {
+			if dev.DrivenIdx(c.TIdx) {
 				continue
 			}
 			ng := it.g + float64(cost(c.Kind))

@@ -248,47 +248,44 @@ func templateRoute(dev *device.Device, start device.Track, endWire arch.Wire, en
 			return false
 		}
 		r.Explored++
-		done := false
-		dev.ForEachPIPChoice(cur, func(p device.PIP, target device.Track) bool {
+		for _, c := range dev.PIPChoices(cur) {
+			p, target := c.P, c.Target
 			if p.Row != pos.Row || p.Col != pos.Col {
-				return true
+				continue
 			}
 			if dev.A.DriveTemplate(p.From, p.To) != rest[0] {
-				return true
+				continue
 			}
 			if used[target.Key()] {
-				return true
+				continue
 			}
 			if opt.avoids(dev, p.Row, p.Col, target) {
-				return true
+				continue
 			}
-			if _, driven := dev.DriverOf(target); driven {
-				return true
+			if dev.DrivenIdx(c.TIdx) {
+				continue
 			}
 			if len(rest) == 1 {
 				if p.To != endWire {
-					return true
+					continue
 				}
 				if endTile != nil && (p.Row != endTile.Row || p.Col != endTile.Col) {
-					return true
+					continue
 				}
 				r.PIPs = append(r.PIPs, p)
-				done = true
-				return false
+				return true
 			}
 			used[target.Key()] = true
 			r.PIPs = append(r.PIPs, p)
 			for _, next := range hopExits(dev, target, pos, rest[0]) {
 				if rec(target, next, rest[1:]) {
-					done = true
-					return false
+					return true
 				}
 			}
 			r.PIPs = r.PIPs[:len(r.PIPs)-1]
 			delete(used, target.Key())
-			return true
-		})
-		return done
+		}
+		return false
 	}
 	found := false
 	for _, tap := range startPositions(dev, start) {

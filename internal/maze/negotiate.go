@@ -404,13 +404,11 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 	out := scopeResult{routes: make([][]device.PIP, n)}
 	used := make([][]int32, n)
 
-	// keeper[k] remembers, per iteration, the first net that claimed
-	// overused track k; tracked via the pooled mark set's epoch. The
-	// value is the *global* net index — the keeper rule's tie-break must
-	// not depend on how nets were grouped.
-	keeperSet := getMarkSet(sc.tracks())
-	keeperVal := make([]int32, sc.tracks())
-	defer putMarkSet(keeperSet)
+	// keeper maps, per iteration, each overused track to the first net
+	// that claimed it. The value is the *global* net index — the keeper
+	// rule's tie-break must not depend on how nets were grouped.
+	keeper := getValueSet(sc.tracks())
+	defer putMarkSet(keeper)
 
 	reroute := make([]int, n) // scope-local positions
 	for j := range reroute {
@@ -445,7 +443,7 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 		// claimant, so each conflict strands at most one net in place).
 		// Scope nets ascend in global order, so the first claimant here
 		// is the first claimant of the global loop too.
-		keeperSet.reset()
+		keeper.reset()
 		reroute = reroute[:0]
 		overused := false
 		for j := 0; j < n; j++ {
@@ -456,12 +454,14 @@ func runScope(dev *device.Device, opt NegotiationOptions, prepped []preppedNet, 
 					continue
 				}
 				overused = true
-				if !keeperSet.has(k) {
-					keeperSet.add(k)
-					keeperVal[k] = int32(sc.nets[j])
+				net := int32(sc.nets[j])
+				kept, ok := keeper.get(k)
+				if !ok {
+					keeper.put(k, net)
+					kept = net
 					st.cong.addHistory(k, float64(c-1))
 				}
-				if keeperVal[k] != int32(sc.nets[j]) {
+				if kept != net {
 					needs = true
 				}
 			}
@@ -612,7 +612,7 @@ func (w *negWorker) search(sources []device.Track, sink device.Track, box rect) 
 	sc := st.sc
 	sinkKey := sink.Key()
 	sinkTile := device.Coord{Row: sink.Row, Col: sink.Col}
-	if _, driven := dev.DriverOf(sink); driven {
+	if dev.DrivenIdx(dev.TrackIndex(sink)) {
 		return nil, 0, fmt.Errorf("maze: sink %s at (%d,%d) already in use on device: %w",
 			dev.A.WireName(sink.W), sink.Row, sink.Col, ErrUnroutable)
 	}
@@ -667,7 +667,7 @@ func (w *negWorker) search(sources []device.Track, sink device.Track, box rect) 
 			if st.opt.avoids(dev, c.P.Row, c.P.Col, c.Target) {
 				continue
 			}
-			if _, driven := dev.DriverOf(c.Target); driven {
+			if dev.DrivenIdx(c.TIdx) {
 				continue
 			}
 			ng := it.g + float64(hopCost(c.Kind)) + w.penalty(ti)

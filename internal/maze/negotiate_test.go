@@ -19,7 +19,7 @@ func applyBatch(t *testing.T, d *device.Device, res *BatchResult) {
 	}
 }
 
-func netSpec(t *testing.T, d *device.Device, sr, sc int, srcW arch.Wire, sinks ...[3]int) NetSpec {
+func netSpec(t testing.TB, d *device.Device, sr, sc int, srcW arch.Wire, sinks ...[3]int) NetSpec {
 	t.Helper()
 	src, err := d.Canon(sr, sc, srcW)
 	if err != nil {

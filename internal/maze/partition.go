@@ -161,29 +161,53 @@ type cutStats struct {
 // split and then the lower position. Cuts that leave one side empty are
 // still considered (they can trim dead space) but only if they cross
 // fewer boxes than a balanced alternative would.
+//
+// A box lies left of cut p when it ends before p, and right of it when it
+// starts at or after p; everything else crosses. One pass buckets box
+// ends and starts by coordinate, and a sweep over the positions keeps
+// running left/right counts, so a scan costs O(nets + span).
 func bestCutOnAxis(rc rect, boxes []rect, nets []int, axis int) cutStats {
 	lo, hi := rc.r0, rc.r1
 	if axis == 1 {
 		lo, hi = rc.c0, rc.c1
 	}
 	best := cutStats{axis: axis}
-	for p := lo + 1; p <= hi; p++ {
-		crossing, left, right := 0, 0, 0
-		for _, i := range nets {
-			b := boxes[i]
-			b0, b1 := b.r0, b.r1
-			if axis == 1 {
-				b0, b1 = b.c0, b.c1
-			}
-			switch {
-			case b1 < p:
-				left++
-			case b0 >= p:
-				right++
-			default:
-				crossing++
-			}
+	if hi <= lo {
+		return best
+	}
+	// ends[v-lo] counts boxes ending at v and starts[v-lo] boxes starting
+	// at v > lo. A box ending before lo is left of every cut, and right
+	// starts as every box starting after lo: the right side of cut lo+1.
+	span := hi - lo + 1
+	counts := make([]int, 2*span)
+	ends, starts := counts[:span], counts[span:]
+	left, right := 0, 0
+	for _, i := range nets {
+		b := boxes[i]
+		b0, b1 := b.r0, b.r1
+		if axis == 1 {
+			b0, b1 = b.c0, b.c1
 		}
+		switch {
+		case b1 < lo:
+			left++
+		case b1 <= hi:
+			ends[b1-lo]++
+		}
+		switch {
+		case b0 > hi:
+			right++
+		case b0 > lo:
+			right++
+			starts[b0-lo]++
+		}
+	}
+	// Moving the cut to p puts the boxes ending at p-1 on the left and
+	// takes the boxes starting at p-1 off the right.
+	for p := lo + 1; p <= hi; p++ {
+		left += ends[p-1-lo]
+		right -= starts[p-1-lo]
+		crossing := len(nets) - left - right
 		bal := left - right
 		if bal < 0 {
 			bal = -bal

@@ -3,6 +3,8 @@ package maze
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -20,7 +22,7 @@ func bigDev(t testing.TB, rows, cols int) *device.Device {
 // clusteredNets builds one small net per cluster cell of a grid laid over
 // the device: source and sink a few tiles apart, far from every other
 // cluster, so the inflated boxes partition cleanly.
-func clusteredNets(t *testing.T, d *device.Device, gr, gc, per int) []NetSpec {
+func clusteredNets(t testing.TB, d *device.Device, gr, gc, per int) []NetSpec {
 	t.Helper()
 	cellH, cellW := d.Rows/gr, d.Cols/gc
 	var nets []NetSpec
@@ -307,5 +309,173 @@ func TestBestCutDeterminism(t *testing.T) {
 		if got := bestCut(rect{0, 0, 63, 95}, boxes, nets); got != first {
 			t.Fatalf("cut changed between calls: %+v vs %+v", got, first)
 		}
+	}
+}
+
+// bruteBestCutOnAxis is the reference cut scan: every position, every
+// box, O(span × nets). bestCutOnAxis must agree with it exactly.
+func bruteBestCutOnAxis(rc rect, boxes []rect, nets []int, axis int) cutStats {
+	lo, hi := rc.r0, rc.r1
+	if axis == 1 {
+		lo, hi = rc.c0, rc.c1
+	}
+	best := cutStats{axis: axis}
+	for p := lo + 1; p <= hi; p++ {
+		crossing, left, right := 0, 0, 0
+		for _, i := range nets {
+			b := boxes[i]
+			b0, b1 := b.r0, b.r1
+			if axis == 1 {
+				b0, b1 = b.c0, b.c1
+			}
+			switch {
+			case b1 < p:
+				left++
+			case b0 >= p:
+				right++
+			default:
+				crossing++
+			}
+		}
+		bal := left - right
+		if bal < 0 {
+			bal = -bal
+		}
+		cand := cutStats{axis: axis, pos: p, crossing: crossing, balance: bal, ok: true}
+		if !best.ok || cand.crossing < best.crossing ||
+			(cand.crossing == best.crossing && cand.balance < best.balance) {
+			best = cand
+		}
+	}
+	return best
+}
+
+// TestBestCutSweepMatchesBruteForce diffs the prefix-count sweep against
+// the brute-force scan over random box sets: thin (single-row or
+// single-column) node rectangles, boxes bunched on one side so the best
+// cut leaves the other side empty, and boxes reaching past the node.
+func TestBestCutSweepMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	randBox := func(rc rect, slack int) rect {
+		span := func(lo, hi int) (int, int) {
+			a := lo - slack + rng.Intn(hi-lo+1+2*slack)
+			b := lo - slack + rng.Intn(hi-lo+1+2*slack)
+			if a > b {
+				a, b = b, a
+			}
+			return a, b
+		}
+		r0, r1 := span(rc.r0, rc.r1)
+		c0, c1 := span(rc.c0, rc.c1)
+		return rect{r0, c0, r1, c1}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		rc := rect{r0: rng.Intn(20), c0: rng.Intn(20)}
+		rc.r1 = rc.r0 + rng.Intn(40)
+		rc.c1 = rc.c0 + rng.Intn(40)
+		switch trial % 5 {
+		case 0:
+			rc.r1 = rc.r0 // single row
+		case 1:
+			rc.c1 = rc.c0 // single column
+		}
+		n := rng.Intn(30)
+		boxes := make([]rect, n)
+		nets := make([]int, 0, n)
+		for i := range boxes {
+			inner := rc
+			if trial%5 == 2 {
+				// Bunch everything in the first rows/cols: the
+				// cheapest cuts leave the far side empty.
+				inner.r1 = inner.r0 + (inner.r1-inner.r0)/3
+				inner.c1 = inner.c0 + (inner.c1-inner.c0)/3
+			}
+			slack := 0
+			if trial%5 == 3 {
+				slack = 3
+			}
+			boxes[i] = randBox(inner, slack)
+			if rng.Intn(4) != 0 { // a sparse subset, like a bisection node
+				nets = append(nets, i)
+			}
+		}
+		for axis := 0; axis < 2; axis++ {
+			want := bruteBestCutOnAxis(rc, boxes, nets, axis)
+			if got := bestCutOnAxis(rc, boxes, nets, axis); got != want {
+				t.Fatalf("trial %d axis %d rc %+v boxes %v nets %v:\n  sweep %+v\n  brute %+v",
+					trial, axis, rc, boxes, nets, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkNegotiatedClustered negotiates a small clustered batch with
+// partitioning on — the maze-level slice of the clustered batch workload.
+func BenchmarkNegotiatedClustered(b *testing.B) {
+	d := bigDev(b, 64, 96)
+	nets := clusteredNets(b, d, 4, 4, 6)
+	opt := NegotiationOptions{Partition: true, Parallelism: 1}
+	if _, err := NegotiatedRoute(d, nets, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NegotiatedRoute(d, nets, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// warmNegotiationBytes returns the fewest heap bytes one warm
+// NegotiatedRoute allocated over several runs. The minimum discounts
+// runs where a GC emptied the scratch pools mid-measurement.
+func warmNegotiationBytes(t *testing.T, d *device.Device, nets []NetSpec, opt NegotiationOptions) uint64 {
+	t.Helper()
+	if _, err := NegotiatedRoute(d, nets, opt); err != nil {
+		t.Fatal(err)
+	}
+	best := ^uint64(0)
+	var before, after runtime.MemStats
+	for run := 0; run < 8; run++ {
+		runtime.ReadMemStats(&before)
+		if _, err := NegotiatedRoute(d, nets, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got < best {
+			best = got
+		}
+	}
+	return best
+}
+
+// TestNegotiationBytesIndependentOfScopeSize routes the same nets, in the
+// same corner, on a device with 4x the tracks. With partitioning off the
+// single scope spans the whole device, so any per-scope table allocated
+// or cleared per batch would scale the warm allocation volume with the
+// device; pooled, epoch-stamped scratch keeps it flat.
+func TestNegotiationBytesIndependentOfScopeSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	opt := NegotiationOptions{Parallelism: 1}
+	measure := func(rows, cols int) (uint64, int) {
+		d := bigDev(t, rows, cols)
+		nets := []NetSpec{
+			netSpec(t, d, 3, 3, arch.OutPin(0), [3]int{6, 5, 0}),
+			netSpec(t, d, 4, 3, arch.OutPin(1), [3]int{6, 5, 1}),
+			netSpec(t, d, 3, 4, arch.OutPin(2), [3]int{7, 6, 2}),
+		}
+		return warmNegotiationBytes(t, d, nets, opt), d.NumTracks()
+	}
+	small, smallTracks := measure(24, 36)
+	big, bigTracks := measure(48, 72)
+	t.Logf("warm bytes/op: %d at %d tracks, %d at %d tracks", small, smallTracks, big, bigTracks)
+	// A per-batch int32 table over the big device alone would be
+	// 4*bigTracks bytes; allow a small fraction of that.
+	if big > small+uint64(bigTracks)/4 {
+		t.Errorf("warm negotiation allocates %d B at %d tracks vs %d B at %d tracks: grows with scope size",
+			big, bigTracks, small, smallTracks)
 	}
 }

@@ -62,10 +62,11 @@ bench:
 bench-go:
 	$(GO) test -bench . -benchmem -benchtime 200x ./...
 
-# prof writes CPU and allocation profiles of the negotiated-batch
-# benchmarks (the partitioned clustered batch in internal/maze and the
-# end-to-end BatchCrossbar) under .prof/, next to the test binaries pprof
-# needs to symbolize them, e.g.
+# prof writes CPU and allocation profiles under .prof/, next to the test
+# binaries pprof needs to symbolize them: the negotiated-batch benchmarks
+# (the partitioned clustered batch in internal/maze and the end-to-end
+# BatchCrossbar), the A* kernel (AutoMazeOnly/dist=40) and the PIP commit
+# path (SetClearPIP), e.g.
 #   go tool pprof -top .prof/maze.test .prof/maze.cpu.prof
 # It is a diagnostic for perf work and part of no ci target.
 PROF_DIR := $(CURDIR)/.prof
@@ -78,6 +79,12 @@ prof:
 	$(GO) test -run='^$$' -bench='^BenchmarkBatchCrossbar$$' -benchmem -benchtime=2s \
 		-o $(PROF_DIR)/crossbar.test -outputdir $(PROF_DIR) \
 		-cpuprofile crossbar.cpu.prof -memprofile crossbar.mem.prof .
+	$(GO) test -run='^$$' -bench='^BenchmarkAutoMazeOnly$$/^dist=40$$' -benchmem -benchtime=2s \
+		-o $(PROF_DIR)/astar.test -outputdir $(PROF_DIR) \
+		-cpuprofile astar.cpu.prof -memprofile astar.mem.prof .
+	$(GO) test -run='^$$' -bench='^BenchmarkSetClearPIP$$' -benchmem -benchtime=2s \
+		-o $(PROF_DIR)/commit.test -outputdir $(PROF_DIR) \
+		-cpuprofile commit.cpu.prof -memprofile commit.mem.prof .
 
 # bench-json regenerates the machine-readable benchmark snapshot.
 bench-json:

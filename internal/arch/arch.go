@@ -55,6 +55,9 @@ type Arch struct {
 	// Connectivity tables (computed by New from the rules in rules.go).
 	fanoutTab [][]Wire
 	driverTab [][]Wire
+
+	// classTab is ClassOf by wire over [0, wireCount), built by New.
+	classTab []Class
 }
 
 // New validates the parameters and computes the wire layout. Most callers
@@ -84,6 +87,10 @@ func New(a Arch) (*Arch, error) {
 	a.longHBase = a.hexMidBase + Wire(2*a.HexesPerDir)
 	a.longVBase = a.longHBase + Wire(a.NumLong)
 	a.wireCount = a.longVBase + Wire(a.NumLong)
+	a.classTab = make([]Class, a.wireCount)
+	for w := range a.classTab {
+		a.classTab[w] = a.classify(Wire(w))
+	}
 	a.buildFanout()
 	return &a, nil
 }
@@ -204,8 +211,17 @@ type Class struct {
 
 var blockDirs = [4]Dir{North, East, South, West}
 
-// ClassOf classifies a wire within this architecture's name space.
+// ClassOf classifies a wire within this architecture's name space. It is a
+// table lookup; wires outside [0, WireCount) are KindInvalid.
 func (a *Arch) ClassOf(w Wire) Class {
+	if uint32(w) < uint32(len(a.classTab)) {
+		return a.classTab[w]
+	}
+	return Class{KindInvalid, DirNone, -1}
+}
+
+// classify is the layout arithmetic behind ClassOf's table.
+func (a *Arch) classify(w Wire) Class {
 	switch {
 	case w >= 0 && w < Wire(NumOutPins):
 		return Class{KindOutPin, DirNone, int(w)}

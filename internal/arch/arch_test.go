@@ -160,6 +160,21 @@ func TestClassOf(t *testing.T) {
 	}
 }
 
+// TestClassOfTableMatchesSwitch: the table New builds answers exactly what
+// the layout switch computes, for every wire and two past either end.
+func TestClassOfTableMatchesSwitch(t *testing.T) {
+	for _, a := range []*Arch{NewVirtex(), NewKestrel()} {
+		for w := Wire(-2); w < Wire(a.WireCount()+2); w++ {
+			if got, want := a.ClassOf(w), a.classify(w); got != want {
+				t.Errorf("%s: ClassOf(%d) = %+v, switch says %+v", a.Name, w, got, want)
+			}
+		}
+		if got := a.ClassOf(Wire(a.WireCount())); got.Kind != KindInvalid {
+			t.Errorf("%s: wire past the end classified %+v", a.Name, got)
+		}
+	}
+}
+
 func TestWireNames(t *testing.T) {
 	a := NewVirtex()
 	cases := map[Wire]string{

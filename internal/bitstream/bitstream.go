@@ -12,7 +12,7 @@ package bitstream
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Layout fixes the geometry of the configuration memory: the CLB array size
@@ -39,10 +39,16 @@ type FrameAddr struct {
 }
 
 // Bitstream is the configuration memory of one device.
+//
+// The dirty set is a bitset over frame numbers (col*BytesPerTile + plane,
+// which is (column, plane) order) plus the list of the frames it holds, so
+// marking, listing and clearing cost grows with the dirty frames, not with
+// the device.
 type Bitstream struct {
-	layout Layout
-	data   []byte
-	dirty  map[FrameAddr]bool
+	layout    Layout
+	data      []byte
+	dirty     []uint64 // bit per frame number
+	dirtyList []int32  // the frame numbers set in dirty, in marking order
 }
 
 // New allocates an all-zero configuration memory.
@@ -53,8 +59,17 @@ func New(l Layout) (*Bitstream, error) {
 	return &Bitstream{
 		layout: l,
 		data:   make([]byte, l.Rows*l.Cols*l.BytesPerTile),
-		dirty:  make(map[FrameAddr]bool),
+		dirty:  make([]uint64, (l.Cols*l.BytesPerTile+63)/64),
 	}, nil
+}
+
+// markDirty adds frame (col, plane) to the dirty set.
+func (b *Bitstream) markDirty(col, plane int) {
+	f := col*b.layout.BytesPerTile + plane
+	if w, m := f>>6, uint64(1)<<(f&63); b.dirty[w]&m == 0 {
+		b.dirty[w] |= m
+		b.dirtyList = append(b.dirtyList, int32(f))
+	}
 }
 
 // Layout returns the geometry.
@@ -94,7 +109,7 @@ func (b *Bitstream) SetBit(row, col, bit int, v bool) error {
 		b.data[idx] = old &^ mask
 	}
 	if b.data[idx] != old {
-		b.dirty[FrameAddr{Col: col, Plane: bit / 8}] = true
+		b.markDirty(col, bit/8)
 	}
 	return nil
 }
@@ -181,7 +196,7 @@ func (b *Bitstream) LoadFrame(fa FrameAddr, frame []byte) error {
 		}
 	}
 	if changed {
-		b.dirty[fa] = true
+		b.markDirty(fa.Col, fa.Plane)
 	}
 	return nil
 }
@@ -189,26 +204,35 @@ func (b *Bitstream) LoadFrame(fa FrameAddr, frame []byte) error {
 // DirtyFrames returns the addresses of frames modified since the last
 // ClearDirty, in deterministic (column, plane) order.
 func (b *Bitstream) DirtyFrames() []FrameAddr {
-	out := make([]FrameAddr, 0, len(b.dirty))
-	for fa := range b.dirty {
-		out = append(out, fa)
+	out := make([]FrameAddr, len(b.dirtyList))
+	bpt := b.layout.BytesPerTile
+	for i, f := range b.dirtyList {
+		out[i] = FrameAddr{Col: int(f) / bpt, Plane: int(f) % bpt}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Col != out[j].Col {
-			return out[i].Col < out[j].Col
+	slices.SortFunc(out, func(x, y FrameAddr) int {
+		if x.Col != y.Col {
+			return x.Col - y.Col
 		}
-		return out[i].Plane < out[j].Plane
+		return x.Plane - y.Plane
 	})
 	return out
 }
 
+// DirtyCount returns the number of dirty frames.
+func (b *Bitstream) DirtyCount() int { return len(b.dirtyList) }
+
 // ClearDirty forgets the dirty set (after a partial bitstream has been
 // generated and shipped).
-func (b *Bitstream) ClearDirty() { clear(b.dirty) }
+func (b *Bitstream) ClearDirty() {
+	for _, f := range b.dirtyList {
+		b.dirty[f>>6] = 0
+	}
+	b.dirtyList = b.dirtyList[:0]
+}
 
 // Clone returns a deep copy with an empty dirty set (a "golden" snapshot).
 func (b *Bitstream) Clone() *Bitstream {
-	c := &Bitstream{layout: b.layout, data: make([]byte, len(b.data)), dirty: make(map[FrameAddr]bool)}
+	c := &Bitstream{layout: b.layout, data: make([]byte, len(b.data)), dirty: make([]uint64, len(b.dirty))}
 	copy(c.data, b.data)
 	return c
 }

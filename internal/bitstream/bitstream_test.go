@@ -310,3 +310,88 @@ func TestPartialConvergenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDirtySetProperty runs random SetBit, SetBits, LoadFrame, ClearDirty
+// and Clone sequences against a map of the frames each write changed.
+// DirtyFrames must list exactly the map's frames in (column, plane)
+// order, DirtyCount must agree, and a clone must start clean and track
+// its own writes. Layouts with more than 64 frames exercise the bitset
+// across words.
+func TestDirtySetProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, l := range []Layout{{3, 2, 1}, {4, 6, 3}, {5, 13, 11}, {2, 40, 7}} {
+		b, err := New(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := map[FrameAddr]bool{}
+		check := func(step int, b *Bitstream, ref map[FrameAddr]bool) {
+			t.Helper()
+			var want []FrameAddr
+			for c := 0; c < l.Cols; c++ {
+				for p := 0; p < l.BytesPerTile; p++ {
+					if ref[FrameAddr{c, p}] {
+						want = append(want, FrameAddr{c, p})
+					}
+				}
+			}
+			got := b.DirtyFrames()
+			if len(got) != len(want) || b.DirtyCount() != len(want) {
+				t.Fatalf("%+v step %d: DirtyFrames %v (count %d), want %v", l, step, got, b.DirtyCount(), want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%+v step %d: DirtyFrames %v, want %v", l, step, got, want)
+				}
+			}
+		}
+		// write applies op to b and records in ref every frame whose
+		// bytes it changed.
+		write := func(b *Bitstream, ref map[FrameAddr]bool, op func()) {
+			before := b.Clone()
+			op()
+			diff, err := b.DiffFrames(before)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fa := range diff {
+				ref[fa] = true
+			}
+		}
+		for step := 0; step < 400; step++ {
+			row, col := rng.Intn(l.Rows), rng.Intn(l.Cols)
+			switch k := rng.Intn(10); {
+			case k < 4:
+				bit := rng.Intn(8 * l.BytesPerTile)
+				write(b, ref, func() { b.SetBit(row, col, bit, rng.Intn(2) == 0) })
+			case k < 6:
+				width := 1 + rng.Intn(8*l.BytesPerTile)
+				if width > 64 {
+					width = 64
+				}
+				start := rng.Intn(8*l.BytesPerTile - width + 1)
+				write(b, ref, func() { b.SetBits(row, col, start, width, rng.Uint64()) })
+			case k < 8:
+				fa := FrameAddr{Col: col, Plane: rng.Intn(l.BytesPerTile)}
+				frame, _ := b.Frame(fa)
+				if rng.Intn(3) != 0 {
+					frame[rng.Intn(len(frame))] ^= byte(1 + rng.Intn(255))
+				}
+				write(b, ref, func() { b.LoadFrame(fa, frame) })
+			case k < 9:
+				b.ClearDirty()
+				clear(ref)
+			default:
+				c := b.Clone()
+				if c.DirtyCount() != 0 || len(c.DirtyFrames()) != 0 {
+					t.Fatalf("%+v step %d: clone starts with %v dirty", l, step, c.DirtyFrames())
+				}
+				cref := map[FrameAddr]bool{}
+				bit := rng.Intn(8 * l.BytesPerTile)
+				write(c, cref, func() { c.SetBit(row, col, bit, true) })
+				check(step, c, cref)
+			}
+			check(step, b, ref)
+		}
+	}
+}

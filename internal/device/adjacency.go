@@ -28,17 +28,30 @@ type adjCache struct {
 	slots []atomic.Pointer[[]PIPChoice]
 }
 
-// adjKey identifies a geometry by architecture *parameters*, not pointer:
+// archKey identifies an architecture by its *parameters*, not pointer:
 // constructors like NewVirtex return a fresh *Arch per call, and devices of
-// equal parameters must share (same parameters imply the same wire layout
-// and connectivity tables).
-type adjKey struct {
+// equal parameters must share per-architecture tables (same parameters
+// imply the same wire layout and connectivity tables).
+type archKey struct {
 	name             string
 	singles, hexes   int
 	hexLen, numLong  int
 	longPeriod       int
 	bidiHex, bramCol int
-	rows, cols       int
+}
+
+func archKeyOf(a *arch.Arch) archKey {
+	return archKey{
+		name: a.Name, singles: a.SinglesPerDir, hexes: a.HexesPerDir,
+		hexLen: a.HexLen, numLong: a.NumLong, longPeriod: a.LongAccessPeriod,
+		bidiHex: a.BidiHexPeriod, bramCol: a.BRAMColumnPeriod,
+	}
+}
+
+// adjKey identifies a geometry: an architecture and an array size.
+type adjKey struct {
+	archKey
+	rows, cols int
 }
 
 var (
@@ -51,12 +64,7 @@ var (
 // real run, but property tests churn through many sizes, so it is reset
 // when it grows past a generous cap rather than growing without limit.
 func adjCacheFor(a *arch.Arch, rows, cols int) *adjCache {
-	k := adjKey{
-		name: a.Name, singles: a.SinglesPerDir, hexes: a.HexesPerDir,
-		hexLen: a.HexLen, numLong: a.NumLong, longPeriod: a.LongAccessPeriod,
-		bidiHex: a.BidiHexPeriod, bramCol: a.BRAMColumnPeriod,
-		rows: rows, cols: cols,
-	}
+	k := adjKey{archKeyOf(a), rows, cols}
 	adjMu.Lock()
 	defer adjMu.Unlock()
 	if c, ok := adjTab[k]; ok {
@@ -92,11 +100,33 @@ func (d *Device) PIPChoices(t Track) []PIPChoice {
 	return choices
 }
 
+// PIPChoicesAt is PIPChoices for the track with compact index i (see
+// TrackIndex), for search loops that carry indices, not tracks: a cached
+// slot costs no index arithmetic at all.
+func (d *Device) PIPChoicesAt(i int32) []PIPChoice {
+	if i < 0 || int(i) >= len(d.adjc.slots) {
+		return nil
+	}
+	if p := d.adjc.slots[i].Load(); p != nil {
+		return *p
+	}
+	return d.PIPChoices(d.TrackOf(i))
+}
+
+// maxStackChoices bounds the stack buffer derivePIPChoices collects into;
+// a track with more choices (a long line on a wide array) spills to the
+// heap once before the exact-size copy.
+const maxStackChoices = 256
+
 // derivePIPChoices is the uncached derivation: walk the track's tap tiles,
 // resolve its local name there, and keep each architecture-legal fanout
-// target that exists on the array and may be driven at that tile.
+// target that exists on the array and may be driven at that tile. The
+// choices are collected in a stack buffer, not shared scratch (workers
+// derive concurrently), and returned as one exactly-sized slice, so a
+// cached slot holds no unused capacity.
 func (d *Device) derivePIPChoices(t Track) []PIPChoice {
-	out := []PIPChoice{}
+	var buf [maxStackChoices]PIPChoice
+	out := buf[:0]
 	for _, tap := range d.Taps(t) {
 		f := d.LocalName(t, tap)
 		if f == arch.Invalid {
@@ -118,5 +148,5 @@ func (d *Device) derivePIPChoices(t Track) []PIPChoice {
 			})
 		}
 	}
-	return out
+	return append(make([]PIPChoice, 0, len(out)), out...)
 }

@@ -46,6 +46,81 @@ func TestTrackIndexBoundsAndUniqueness(t *testing.T) {
 	}
 }
 
+// TestTrackOfInvertsTrackIndex: TrackOf maps every index of several
+// geometries of both architectures to an on-device track whose
+// TrackIndex is that index again, and PIPChoicesAt(i) is the cached
+// PIPChoices(TrackOf(i)).
+func TestTrackOfInvertsTrackIndex(t *testing.T) {
+	for _, g := range []struct {
+		a          *arch.Arch
+		rows, cols int
+	}{
+		{arch.NewVirtex(), 12, 12}, {arch.NewVirtex(), 12, 16}, {arch.NewVirtex(), 17, 13},
+		{arch.NewKestrel(), 8, 8}, {arch.NewKestrel(), 9, 21},
+	} {
+		d, err := New(g.a, g.rows, g.cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int32(0); i < int32(d.NumTracks()); i++ {
+			tr := d.TrackOf(i)
+			if tr.Row < 0 || tr.Row >= d.Rows || tr.Col < 0 || tr.Col >= d.Cols ||
+				tr.W < 0 || int(tr.W) >= d.A.WireCount() {
+				t.Fatalf("%s %dx%d: TrackOf(%d) = %v outside the device", g.a.Name, g.rows, g.cols, i, tr)
+			}
+			if back := d.TrackIndex(tr); back != i {
+				t.Fatalf("%s %dx%d: TrackIndex(TrackOf(%d)) = %d", g.a.Name, g.rows, g.cols, i, back)
+			}
+			if i%97 == 0 {
+				at, direct := d.PIPChoicesAt(i), d.PIPChoices(tr)
+				if len(at) != len(direct) || (len(at) > 0 && &at[0] != &direct[0]) {
+					t.Fatalf("%s: PIPChoicesAt(%d) is not the cached PIPChoices(%v)", g.a.Name, i, tr)
+				}
+			}
+		}
+		if d.PIPChoicesAt(-1) != nil || d.PIPChoicesAt(int32(d.NumTracks())) != nil {
+			t.Errorf("%s: PIPChoicesAt out of range returned choices", g.a.Name)
+		}
+	}
+}
+
+// TestDevicesShareBitLayout: devices of equal architecture parameters,
+// whatever their size and however the Arch was obtained, share one
+// immutable bit layout; a different architecture gets its own.
+func TestDevicesShareBitLayout(t *testing.T) {
+	a, err := New(arch.NewVirtex(), 12, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(arch.NewVirtex(), 32, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := New(arch.NewKestrel(), 12, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.layout != b.layout {
+		t.Error("two Virtex devices built separate bit layouts")
+	}
+	if a.layout == k.layout {
+		t.Error("Virtex and Kestrel share a bit layout")
+	}
+	// The dense pair table agrees with the pair list it indexes.
+	l := a.layout
+	for i, p := range l.pairs {
+		if got, ok := l.pipIdx(p[0], p[1]); !ok || got != i {
+			t.Fatalf("pipIdx(%v) = %d, %v; want %d", p, got, ok, i)
+		}
+	}
+	if _, ok := l.pipIdx(arch.Invalid, 0); ok {
+		t.Error("pipIdx accepted an invalid wire")
+	}
+	if _, ok := l.pipIdx(0, arch.Wire(a.A.WireCount())); ok {
+		t.Error("pipIdx accepted a wire past the end")
+	}
+}
+
 // TestPIPChoicesMatchDirectDerivation: the cached adjacency must be exactly
 // what walking Taps/LocalName/LocalFanout/DriveAllowedAt produces, with
 // correct cached TIdx and Kind, and repeated calls must return the shared

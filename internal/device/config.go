@@ -3,6 +3,7 @@ package device
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/bitstream"
@@ -12,9 +13,12 @@ import (
 // tables, flip-flop init values) onto bit positions in the tile's slice of
 // the configuration bitstream. The layout is a function of the architecture
 // only, so any two devices of the same family agree on it — which is what
-// makes shipping bitstreams between them meaningful.
+// makes shipping bitstreams between them meaningful. It is immutable once
+// built, and one instance per architecture is shared by every device (see
+// layoutFor).
 type bitLayout struct {
-	pairIdx      map[[2]arch.Wire]int
+	wc           int     // the architecture's WireCount
+	pairIdx      []int32 // from*wc+to -> PIP bit index, -1 where no PIP
 	pairs        [][2]arch.Wire
 	lutBase      int
 	ffInitBase   int
@@ -50,16 +54,43 @@ const (
 	FFS1YQ
 )
 
-func newBitLayout(a *arch.Arch) bitLayout {
-	l := bitLayout{pairIdx: make(map[[2]arch.Wire]int)}
-	for from := arch.Wire(0); from < arch.Wire(a.WireCount()); from++ {
+var (
+	layoutMu  sync.Mutex
+	layoutTab = map[archKey]*bitLayout{}
+)
+
+// layoutFor returns the shared bit layout of an architecture, building it
+// on first use. Like adjCacheFor it is keyed by parameters and reset past
+// a generous cap, since tests construct many architectures.
+func layoutFor(a *arch.Arch) *bitLayout {
+	k := archKeyOf(a)
+	layoutMu.Lock()
+	defer layoutMu.Unlock()
+	if l, ok := layoutTab[k]; ok {
+		return l
+	}
+	if len(layoutTab) >= 64 {
+		layoutTab = map[archKey]*bitLayout{}
+	}
+	l := newBitLayout(a)
+	layoutTab[k] = l
+	return l
+}
+
+func newBitLayout(a *arch.Arch) *bitLayout {
+	wc := a.WireCount()
+	l := &bitLayout{wc: wc, pairIdx: make([]int32, wc*wc)}
+	for i := range l.pairIdx {
+		l.pairIdx[i] = -1
+	}
+	for from := arch.Wire(0); from < arch.Wire(wc); from++ {
 		for _, to := range a.LocalFanout(from) {
-			key := [2]arch.Wire{from, to}
-			if _, dup := l.pairIdx[key]; dup {
+			k := int(from)*wc + int(to)
+			if l.pairIdx[k] >= 0 {
 				continue
 			}
-			l.pairIdx[key] = len(l.pairs)
-			l.pairs = append(l.pairs, key)
+			l.pairIdx[k] = int32(len(l.pairs))
+			l.pairs = append(l.pairs, [2]arch.Wire{from, to})
 		}
 	}
 	l.lutBase = len(l.pairs)
@@ -71,14 +102,14 @@ func newBitLayout(a *arch.Arch) bitLayout {
 	return l
 }
 
-func (l *bitLayout) pipBit(from, to arch.Wire) (int, bool) {
-	i, ok := l.pipIdx(from, to)
-	return i, ok
-}
-
+// pipIdx returns the configuration bit of the PIP from -> to, if the
+// architecture has that PIP.
 func (l *bitLayout) pipIdx(from, to arch.Wire) (int, bool) {
-	i, ok := l.pairIdx[[2]arch.Wire{from, to}]
-	return i, ok
+	if uint32(from) >= uint32(l.wc) || uint32(to) >= uint32(l.wc) {
+		return 0, false
+	}
+	i := l.pairIdx[int(from)*l.wc+int(to)]
+	return int(i), i >= 0
 }
 
 // PIPBitCount returns the number of distinct PIP configuration bits per
@@ -267,7 +298,7 @@ func (d *Device) AppendPartialConfig(dst []byte) ([]byte, error) {
 }
 
 // DirtyFrameCount returns how many frames a PartialConfig would ship.
-func (d *Device) DirtyFrameCount() int { return len(d.bits.DirtyFrames()) }
+func (d *Device) DirtyFrameCount() int { return d.bits.DirtyCount() }
 
 // FrameCount returns the total number of configuration frames.
 func (d *Device) FrameCount() int { return d.bits.FrameCount() }
@@ -344,10 +375,11 @@ func (d *Device) RebuildFromBits() error {
 						return fmt.Errorf("device: bitstream encodes illegal PIP: %w", err)
 					}
 					p := PIP{row, col, pair[0], pair[1]}
-					if exist, ok := d.driver[to.Key()]; ok {
-						return &ContentionError{Track: to, Existing: exist, Attempt: p, Name: d.A.WireName(to.W)}
+					ti := d.TrackIndex(to)
+					if d.DrivenIdx(ti) {
+						return &ContentionError{Track: to, Existing: d.driver[to.Key()], Attempt: p, Name: d.A.WireName(to.W)}
 					}
-					d.setDriver(to, p)
+					d.setDriver(to, ti, p)
 					d.fanout[from.Key()] = append(d.fanout[from.Key()], p)
 				}
 			}

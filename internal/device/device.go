@@ -41,7 +41,7 @@ type Device struct {
 	adjc      *adjCache // PIP-choice adjacency, shared per (arch, size)
 
 	bits     *bitstream.Bitstream
-	layout   bitLayout
+	layout   *bitLayout    // shared per architecture; see layoutFor
 	driver   map[Key]PIP   // canonical track -> the PIP driving it
 	fanout   map[Key][]PIP // canonical track -> on-PIPs sourced from it
 	driven   []uint64      // occupancy bitset by TrackIndex: bit set iff driver has the track
@@ -77,7 +77,7 @@ func New(a *arch.Arch, rows, cols int) (*Device, error) {
 		bramInit: make(map[Coord][arch.BRAMWords]byte),
 		bramUsed: make(map[Coord]bool),
 	}
-	d.layout = newBitLayout(a)
+	d.layout = layoutFor(a)
 	bits, err := bitstream.New(bitstream.Layout{
 		Rows: rows, Cols: cols, BytesPerTile: d.layout.bytesPerTile,
 	})
@@ -98,10 +98,17 @@ func New(a *arch.Arch, rows, cols int) (*Device, error) {
 // scratch state, not density.
 func (d *Device) NumTracks() int { return d.Rows * d.Cols * d.wireCount }
 
-// TrackIndex maps a canonical track to its compact per-device index; the
-// inverse of nothing — searches keep the Track alongside the index.
+// TrackIndex maps a canonical track to its compact per-device index;
+// TrackOf is the inverse.
 func (d *Device) TrackIndex(t Track) int32 {
 	return int32((t.Row*d.Cols+t.Col)*d.wireCount + int(t.W))
+}
+
+// TrackOf is the inverse of TrackIndex for i in [0, NumTracks): the track
+// whose compact index is i.
+func (d *Device) TrackOf(i int32) Track {
+	tile, w := int(i)/d.wireCount, int(i)%d.wireCount
+	return Track{Row: tile / d.Cols, Col: tile % d.Cols, W: arch.Wire(w)}
 }
 
 // DrivenIdx reports whether the track with compact index i (see
@@ -112,18 +119,16 @@ func (d *Device) DrivenIdx(i int32) bool {
 	return d.driven[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// setDriver records p as the driver of track to, in the driver map and
-// the occupancy bitset together.
-func (d *Device) setDriver(to Track, p PIP) {
+// setDriver records p as the driver of track to (compact index i), in the
+// driver map and the occupancy bitset together.
+func (d *Device) setDriver(to Track, i int32, p PIP) {
 	d.driver[to.Key()] = p
-	i := d.TrackIndex(to)
 	d.driven[i>>6] |= 1 << (uint(i) & 63)
 }
 
 // clearDriver forgets track to's driver in both the map and the bitset.
-func (d *Device) clearDriver(to Track) {
+func (d *Device) clearDriver(to Track, i int32) {
 	delete(d.driver, to.Key())
-	i := d.TrackIndex(to)
 	d.driven[i>>6] &^= 1 << (uint(i) & 63)
 }
 
@@ -172,15 +177,17 @@ func (d *Device) SetPIP(row, col int, fromW, toW arch.Wire) error {
 	if err != nil {
 		return err
 	}
-	if exist, ok := d.driver[to.Key()]; ok {
+	ti := d.TrackIndex(to)
+	if d.DrivenIdx(ti) {
+		exist := d.driver[to.Key()]
 		if exist == p {
 			return nil // idempotent
 		}
 		return &ContentionError{Track: to, Existing: exist, Attempt: p, Name: d.A.WireName(to.W)}
 	}
-	d.setDriver(to, p)
+	d.setDriver(to, ti, p)
 	d.fanout[from.Key()] = append(d.fanout[from.Key()], p)
-	if bit, ok := d.layout.pipBit(p.From, p.To); ok {
+	if bit, ok := d.layout.pipIdx(p.From, p.To); ok {
 		if err := d.bits.SetBit(row, col, bit, true); err != nil {
 			return err
 		}
@@ -196,11 +203,11 @@ func (d *Device) ClearPIP(row, col int, fromW, toW arch.Wire) error {
 	if err != nil {
 		return err
 	}
-	exist, ok := d.driver[to.Key()]
-	if !ok || exist != p {
+	ti := d.TrackIndex(to)
+	if !d.DrivenIdx(ti) || d.driver[to.Key()] != p {
 		return fmt.Errorf("device: PIP %s is not on", d.PIPString(p))
 	}
-	d.clearDriver(to)
+	d.clearDriver(to, ti)
 	fk := from.Key()
 	list := d.fanout[fk]
 	for i, q := range list {
@@ -215,7 +222,7 @@ func (d *Device) ClearPIP(row, col int, fromW, toW arch.Wire) error {
 	} else {
 		d.fanout[fk] = list
 	}
-	if bit, ok := d.layout.pipBit(p.From, p.To); ok {
+	if bit, ok := d.layout.pipIdx(p.From, p.To); ok {
 		if err := d.bits.SetBit(row, col, bit, false); err != nil {
 			return err
 		}
@@ -327,7 +334,7 @@ func (d *Device) CheckConsistency() error {
 		if count != 1 {
 			return fmt.Errorf("device: PIP %v appears %d times in fanout of %v", p, count, from)
 		}
-		if bit, ok := d.layout.pipBit(p.From, p.To); ok {
+		if bit, ok := d.layout.pipIdx(p.From, p.To); ok {
 			v, err := d.bits.GetBit(p.Row, p.Col, bit)
 			if err != nil {
 				return err

@@ -45,31 +45,41 @@ var (
 // The search arena is the zero-steady-state-allocation scratch space behind
 // every maze search. The seed implementation allocated three fresh
 // map[device.Key] tables and one boxed heap node per frontier push on every
-// call; the arena replaces the maps with flat slices indexed by the compact
-// device.TrackIndex and the boxed nodes with a value heap, and is recycled
-// through a sync.Pool so steady-state searches allocate nothing.
+// call; the arena replaces the maps with flat slices indexed by a compact
+// track index (device.TrackIndex, or a scope-local index in negotiation)
+// and the boxed nodes with a value heap, and is recycled through a
+// sync.Pool so steady-state searches allocate nothing.
 //
 // Staleness is handled by epoch stamping: begin() bumps the generation, and
-// a slot's g/via/prev values are only meaningful when its stamp equals the
-// current epoch — so "clearing" the tables between searches is O(1).
+// a slot's cell is only meaningful when its stamp equals the current epoch —
+// so "clearing" the tables between searches is O(1).
+//
+// The layout is cache-dense: everything the expansion loop reads or writes
+// per candidate (stamp, best cost, predecessor) sits in one 16-byte cell,
+// and the via PIP, which only reconstruct reads, lives in its own array.
 
-// heapItem is one frontier entry of the best-first search. Items are
-// values, not pointers, and duplicates are pushed instead of decrease-key;
-// stale pops are skipped by the g-check in the search loop.
+// heapItem is one frontier entry of the best-first search: 24 bytes, the
+// track identified by its index alone. Items are values, not pointers, and
+// duplicates are pushed instead of decrease-key; stale pops are skipped by
+// the g-check in the search loop.
 type heapItem struct {
-	track device.Track
-	ti    int32
-	g, f  float64
+	g, f float64
+	ti   int32
+}
+
+// cell is one track's search state.
+type cell struct {
+	g     float64 // best path cost found so far
+	stamp uint32  // epoch mark; the cell is stale unless it equals the arena's
+	prev  int32   // predecessor track index; -1 for search sources
 }
 
 // arena is the reusable scratch state of one search.
 type arena struct {
 	n     int
 	epoch uint32
-	stamp []uint32     // epoch mark per track index
-	g     []float64    // best path cost found so far
+	cells []cell
 	via   []device.PIP // PIP that reached the track
-	prev  []int32      // predecessor track index; -1 for search sources
 	heap  []heapItem   // frontier backing storage, reused across searches
 }
 
@@ -90,10 +100,8 @@ func (ar *arena) ensure(n int) {
 	if ar.n >= n {
 		return
 	}
-	ar.stamp = make([]uint32, n)
-	ar.g = make([]float64, n)
+	ar.cells = make([]cell, n)
 	ar.via = make([]device.PIP, n)
-	ar.prev = make([]int32, n)
 	ar.epoch = 0
 	ar.n = n
 }
@@ -102,8 +110,8 @@ func (ar *arena) ensure(n int) {
 func (ar *arena) begin() {
 	ar.epoch++
 	if ar.epoch == 0 { // wrapped: pay one O(n) clear every 2^32 searches
-		for i := range ar.stamp {
-			ar.stamp[i] = 0
+		for i := range ar.cells {
+			ar.cells[i].stamp = 0
 		}
 		ar.epoch = 1
 	}
@@ -111,14 +119,19 @@ func (ar *arena) begin() {
 }
 
 // seen reports whether track i was reached in this generation.
-func (ar *arena) seen(i int32) bool { return ar.stamp[i] == ar.epoch }
+func (ar *arena) seen(i int32) bool { return ar.cells[i].stamp == ar.epoch }
+
+// improves reports whether a path of cost g to track i beats the best
+// one found in this generation (always, if i was not reached yet).
+func (ar *arena) improves(i int32, g float64) bool {
+	c := &ar.cells[i]
+	return c.stamp != ar.epoch || g < c.g
+}
 
 // visit records the best-known path to track i.
 func (ar *arena) visit(i int32, g float64, via device.PIP, prev int32) {
-	ar.stamp[i] = ar.epoch
-	ar.g[i] = g
+	ar.cells[i] = cell{g: g, stamp: ar.epoch, prev: prev}
 	ar.via[i] = via
-	ar.prev[i] = prev
 }
 
 // reconstruct walks prev links from the sink back to a source and returns
@@ -126,11 +139,11 @@ func (ar *arena) visit(i int32, g float64, via device.PIP, prev int32) {
 // it outlives the arena.
 func (ar *arena) reconstruct(sink int32) []device.PIP {
 	n := 0
-	for k := sink; ar.prev[k] >= 0; k = ar.prev[k] {
+	for k := sink; ar.cells[k].prev >= 0; k = ar.cells[k].prev {
 		n++
 	}
 	pips := make([]device.PIP, n)
-	for k := sink; ar.prev[k] >= 0; k = ar.prev[k] {
+	for k := sink; ar.cells[k].prev >= 0; k = ar.cells[k].prev {
 		n--
 		pips[n] = ar.via[k]
 	}

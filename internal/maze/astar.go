@@ -97,14 +97,14 @@ func search(dev *device.Device, sources []device.Track, sink device.Track, opt O
 			continue
 		}
 		ar.visit(si, 0, device.PIP{}, -1)
-		ar.push(heapItem{track: s, ti: si, g: 0, f: h(s)})
+		ar.push(heapItem{ti: si, g: 0, f: h(s)})
 	}
 
 	explored := 0
 	maxNodes := opt.maxNodes()
 	for len(ar.heap) > 0 {
 		it := ar.pop()
-		if it.g > ar.g[it.ti] {
+		if it.g > ar.cells[it.ti].g {
 			continue // stale entry
 		}
 		explored++
@@ -112,7 +112,7 @@ func search(dev *device.Device, sources []device.Track, sink device.Track, opt O
 			return nil, fmt.Errorf("maze: search exceeded %d states: %w", maxNodes, ErrUnroutable)
 		}
 		goal := false
-		for _, c := range dev.PIPChoices(it.track) {
+		for _, c := range dev.PIPChoicesAt(it.ti) {
 			if c.TIdx != sinkIdx {
 				if !opt.allowKind(c.Kind) {
 					continue
@@ -130,7 +130,7 @@ func search(dev *device.Device, sources []device.Track, sink device.Track, opt O
 				continue
 			}
 			ng := it.g + float64(cost(c.Kind))
-			if ar.seen(c.TIdx) && ar.g[c.TIdx] <= ng {
+			if !ar.improves(c.TIdx, ng) {
 				continue
 			}
 			ar.visit(c.TIdx, ng, c.P, it.ti)
@@ -139,10 +139,10 @@ func search(dev *device.Device, sources []device.Track, sink device.Track, opt O
 				goal = true
 				break
 			}
-			ar.push(heapItem{track: c.Target, ti: c.TIdx, g: ng, f: ng + h(c.Target)})
+			ar.push(heapItem{ti: c.TIdx, g: ng, f: ng + h(c.Target)})
 		}
 		if goal {
-			return &Route{PIPs: ar.reconstruct(sinkIdx), Cost: int(ar.g[sinkIdx]), Explored: explored}, nil
+			return &Route{PIPs: ar.reconstruct(sinkIdx), Cost: int(ar.cells[sinkIdx].g), Explored: explored}, nil
 		}
 	}
 	return nil, fmt.Errorf("maze: no path to %s at (%d,%d): %w",

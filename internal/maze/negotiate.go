@@ -161,29 +161,33 @@ func (o NegotiationOptions) partitionDepth() int {
 }
 
 // congestion holds the dense per-track negotiation state, epoch-stamped so
-// a pooled instance resets in O(1). A slot's counters are zero unless its
-// stamp matches the current epoch.
+// a pooled instance resets in O(1). A track's state is one 16-byte cell,
+// so the search's penalty reads it with one load; its counters are zero
+// unless its stamp matches the current epoch.
 type congestion struct {
-	n       int
-	epoch   uint32
-	stamp   []uint32
-	present []int32   // nets currently using the track
-	history []float64 // accumulated overuse
+	n     int
+	epoch uint32
+	cells []congCell
+}
+
+// congCell is one track's negotiation state.
+type congCell struct {
+	history float64 // accumulated overuse
+	stamp   uint32
+	present int32 // nets currently using the track
 }
 
 func getCongestion(n int) *congestion {
 	c := poolGet(&congPools, n, func() *congestion { return new(congestion) })
 	if c.n < n {
-		c.stamp = make([]uint32, n)
-		c.present = make([]int32, n)
-		c.history = make([]float64, n)
+		c.cells = make([]congCell, n)
 		c.epoch = 0
 		c.n = n
 	}
 	c.epoch++
 	if c.epoch == 0 {
-		for i := range c.stamp {
-			c.stamp[i] = 0
+		for i := range c.cells {
+			c.cells[i].stamp = 0
 		}
 		c.epoch = 1
 	}
@@ -192,37 +196,28 @@ func getCongestion(n int) *congestion {
 
 func putCongestion(c *congestion) { poolPut(&congPools, c.n, c) }
 
-func (c *congestion) touch(i int32) {
-	if c.stamp[i] != c.epoch {
-		c.stamp[i] = c.epoch
-		c.present[i] = 0
-		c.history[i] = 0
+// at returns track i's state, zero if it was not touched this epoch.
+func (c *congestion) at(i int32) congCell {
+	if x := c.cells[i]; x.stamp == c.epoch {
+		return x
 	}
+	return congCell{}
 }
 
-func (c *congestion) presentAt(i int32) int32 {
-	if c.stamp[i] != c.epoch {
-		return 0
+// touch returns track i's cell, reset first if it is stale.
+func (c *congestion) touch(i int32) *congCell {
+	x := &c.cells[i]
+	if x.stamp != c.epoch {
+		*x = congCell{stamp: c.epoch}
 	}
-	return c.present[i]
+	return x
 }
 
-func (c *congestion) historyAt(i int32) float64 {
-	if c.stamp[i] != c.epoch {
-		return 0
-	}
-	return c.history[i]
-}
+func (c *congestion) presentAt(i int32) int32 { return c.at(i).present }
 
-func (c *congestion) addPresent(i int32, d int32) {
-	c.touch(i)
-	c.present[i] += d
-}
+func (c *congestion) addPresent(i int32, d int32) { c.touch(i).present += d }
 
-func (c *congestion) addHistory(i int32, d float64) {
-	c.touch(i)
-	c.history[i] += d
-}
+func (c *congestion) addHistory(i int32, d float64) { c.touch(i).history += d }
 
 // negState is the per-scope negotiation state. During the routing phase
 // of an iteration it is read-only; all mutation happens in the merge
@@ -547,11 +542,12 @@ func (w *negWorker) release() {
 // penalty is the congestion surcharge for occupying track i (scope-local).
 func (w *negWorker) penalty(i int32) float64 {
 	st := w.st
-	users := st.cong.presentAt(i)
+	c := st.cong.at(i)
+	users := c.present
 	if w.self.has(i) {
 		users-- // our own previous usage does not penalize us
 	}
-	p := st.cong.historyAt(i) * st.histFac
+	p := c.history * st.histFac
 	if users > 0 {
 		p += float64(users) * st.presFac
 	}
@@ -637,13 +633,13 @@ func (w *negWorker) search(sources []device.Track, sink device.Track, box rect) 
 			continue
 		}
 		ar.visit(si, 0, device.PIP{}, -1)
-		ar.push(heapItem{track: s, ti: si, g: 0, f: h(s)})
+		ar.push(heapItem{ti: si, g: 0, f: h(s)})
 	}
 	explored := 0
 	maxNodes := st.opt.maxNodes()
 	for len(ar.heap) > 0 {
 		it := ar.pop()
-		if it.g > ar.g[it.ti] {
+		if it.g > ar.cells[it.ti].g {
 			continue
 		}
 		explored++
@@ -651,7 +647,7 @@ func (w *negWorker) search(sources []device.Track, sink device.Track, box rect) 
 			return nil, explored, fmt.Errorf("maze: negotiation search exceeded %d states: %w", maxNodes, ErrUnroutable)
 		}
 		goal := false
-		for _, c := range dev.PIPChoices(it.track) {
+		for _, c := range dev.PIPChoices(sc.track(it.ti)) {
 			if !box.contains(c.Target.Row, c.Target.Col) {
 				continue
 			}
@@ -671,7 +667,7 @@ func (w *negWorker) search(sources []device.Track, sink device.Track, box rect) 
 				continue
 			}
 			ng := it.g + float64(hopCost(c.Kind)) + w.penalty(ti)
-			if ar.seen(ti) && ar.g[ti] <= ng {
+			if !ar.improves(ti, ng) {
 				continue
 			}
 			ar.visit(ti, ng, c.P, it.ti)
@@ -679,7 +675,7 @@ func (w *negWorker) search(sources []device.Track, sink device.Track, box rect) 
 				goal = true
 				break
 			}
-			ar.push(heapItem{track: c.Target, ti: ti, g: ng, f: ng + h(c.Target)})
+			ar.push(heapItem{ti: ti, g: ng, f: ng + h(c.Target)})
 		}
 		if goal {
 			return ar.reconstruct(sinkIdx), explored, nil

@@ -1,7 +1,9 @@
 package maze
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/arch"
@@ -353,5 +355,92 @@ func TestHopExitsLongBranching(t *testing.T) {
 	at := device.Coord{Row: 3, Col: 3}
 	if ex := hopExits(d, mux, at, arch.TVOutMux); len(ex) != 1 || ex[0] != at {
 		t.Errorf("outmux exits = %v", ex)
+	}
+}
+
+// batchHash is an FNV-64a digest of a batch result: every net's PIP list
+// in order, then the iteration and explored counts.
+func batchHash(res *BatchResult) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(b[:], uint64(int64(v)))
+		h.Write(b[:])
+	}
+	for _, pips := range res.Nets {
+		put(len(pips))
+		for _, p := range pips {
+			put(p.Row)
+			put(p.Col)
+			put(int(p.From))
+			put(int(p.To))
+		}
+	}
+	put(res.Iterations)
+	put(res.Explored)
+	return h.Sum64()
+}
+
+// TestNegotiatedRoutePinnedOutput pins NegotiatedRoute's exact output —
+// every PIP of every net, the iteration count and the states explored —
+// to digests recorded from the array-of-fields kernel that preceded the
+// cell layout. Each workload is routed globally and partitioned, at
+// Parallelism 1 and 4; all four must reproduce the recorded digest. A
+// kernel change that reorders a single heap pop changes the digest.
+func TestNegotiatedRoutePinnedOutput(t *testing.T) {
+	virtex := func(rows, cols int) *device.Device { return bigDev(t, rows, cols) }
+	kestrel := func(rows, cols int) *device.Device {
+		d, err := device.New(arch.NewKestrel(), rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	knots := func(d *device.Device, bases [][2]int, span int) []NetSpec {
+		var nets []NetSpec
+		for _, base := range bases {
+			for i := 0; i < 8; i++ {
+				nets = append(nets, netSpec(t, d, base[0], base[1], arch.OutPin(i),
+					[3]int{base[0], base[1] + span, i}))
+			}
+		}
+		return nets
+	}
+	cases := []struct {
+		name  string
+		build func() (*device.Device, []NetSpec)
+		want  uint64
+	}{
+		{"virtex clustered 64x96", func() (*device.Device, []NetSpec) {
+			d := virtex(64, 96)
+			return d, clusteredNets(t, d, 4, 4, 6)
+		}, 0xf2d15132bfc2bd9f},
+		{"virtex knots 64x96", func() (*device.Device, []NetSpec) {
+			d := virtex(64, 96)
+			return d, knots(d, [][2]int{{10, 10}, {50, 80}}, 7)
+		}, 0xc28b576a5560a7a0},
+		{"kestrel clustered 32x48", func() (*device.Device, []NetSpec) {
+			d := kestrel(32, 48)
+			return d, clusteredNets(t, d, 2, 3, 6)
+		}, 0x42663a5c9b536b6c},
+		{"kestrel knots 32x48", func() (*device.Device, []NetSpec) {
+			d := kestrel(32, 48)
+			return d, knots(d, [][2]int{{6, 6}, {24, 36}}, 5)
+		}, 0x4c79948ba741372d},
+	}
+	for _, tc := range cases {
+		for _, partition := range []bool{false, true} {
+			for _, par := range []int{1, 4} {
+				d, nets := tc.build()
+				res, err := NegotiatedRoute(d, nets, NegotiationOptions{Parallelism: par, Partition: partition})
+				if err != nil {
+					t.Fatalf("%s partition=%v par=%d: %v", tc.name, partition, par, err)
+				}
+				if got := batchHash(res); got != tc.want {
+					t.Errorf("%s partition=%v par=%d: digest %#016x (iterations %d, explored %d), want %#016x",
+						tc.name, partition, par, got, res.Iterations, res.Explored, tc.want)
+				}
+			}
+		}
 	}
 }

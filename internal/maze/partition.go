@@ -3,6 +3,7 @@ package maze
 import (
 	"sort"
 
+	"repro/internal/arch"
 	"repro/internal/device"
 )
 
@@ -116,6 +117,13 @@ func (s *scope) tracks() int { return s.rc.rows() * s.rc.cols() * s.wc }
 // to its scope-local index.
 func (s *scope) idx(t device.Track) int32 {
 	return int32(((t.Row-s.rc.r0)*s.rc.cols()+(t.Col-s.rc.c0))*s.wc + int(t.W))
+}
+
+// track is the inverse of idx: the track with scope-local index i.
+func (s *scope) track(i int32) device.Track {
+	tile, w := int(i)/s.wc, int(i)%s.wc
+	cols := s.rc.cols()
+	return device.Track{Row: s.rc.r0 + tile/cols, Col: s.rc.c0 + tile%cols, W: arch.Wire(w)}
 }
 
 // unionFind is a plain path-halving union-find over net indices.

@@ -479,3 +479,23 @@ func TestNegotiationBytesIndependentOfScopeSize(t *testing.T) {
 			big, bigTracks, small, smallTracks)
 	}
 }
+
+// TestScopeTrackInvertsIdx: scope.track is the inverse of scope.idx over
+// the whole scope-local index space of offset rectangles, which is what
+// lets the negotiation heap carry an index alone.
+func TestScopeTrackInvertsIdx(t *testing.T) {
+	d := bigDev(t, 24, 36)
+	wc := d.NumTracks() / (d.Rows * d.Cols)
+	for _, rc := range []rect{{0, 0, 23, 35}, {3, 5, 9, 20}, {7, 7, 7, 7}, {0, 30, 23, 35}} {
+		sc := &scope{rc: rc, wc: wc}
+		for i := int32(0); i < int32(sc.tracks()); i++ {
+			tr := sc.track(i)
+			if !rc.contains(tr.Row, tr.Col) {
+				t.Fatalf("rect %+v: track(%d) = %v outside the scope", rc, i, tr)
+			}
+			if back := sc.idx(tr); back != i {
+				t.Fatalf("rect %+v: idx(track(%d)) = %d", rc, i, back)
+			}
+		}
+	}
+}
